@@ -1,5 +1,7 @@
 //! Electrical checks over an abstract circuit graph.
 
+use semsim_linalg::{LuDecomposition, Matrix};
+
 use crate::ir::CircuitModel;
 use crate::{DiagCode, Diagnostic, Diagnostics, Span};
 
@@ -14,7 +16,40 @@ pub const CONDITION_THRESHOLD: f64 = 1e12;
 /// matrix), SC005 (tunnel-unreachable islands), and — when the model
 /// carries dataflow facts — the influence-reachability diagnostics
 /// SC014–SC018 (see [`crate::reach`]).
+///
+/// SC002/SC003 assemble and LU-factor the island capacitance matrix;
+/// a caller that already holds that factorization passes it to
+/// [`check_circuit_factored`] instead.
 pub fn check_circuit(model: &CircuitModel) -> Diagnostics {
+    electrical_checks(model, || {
+        let c = model.capacitance_matrix();
+        matrix_finding(model, &c, c.lu().ok().as_ref())
+    })
+}
+
+/// [`check_circuit`] with the island capacitance matrix `c` and its LU
+/// factorization `lu` supplied by the caller, so SC003 reuses that
+/// factorization instead of assembling and factoring a second copy.
+/// `c` must be the model's island capacitance matrix, assembled edge by
+/// edge in the model's order with islands in node order; the findings
+/// are then identical to [`check_circuit`]'s. A caller whose
+/// factorization failed reports that itself (SC002 is never emitted
+/// here).
+pub fn check_circuit_factored(
+    model: &CircuitModel,
+    c: &Matrix,
+    lu: &LuDecomposition,
+) -> Diagnostics {
+    electrical_checks(model, || matrix_finding(model, c, Some(lu)))
+}
+
+/// The checks of [`check_circuit`]; `matrix` yields the SC002/SC003
+/// finding and is only called when the capacitive connectivity is
+/// sound (a floating island already implies a singular matrix).
+fn electrical_checks(
+    model: &CircuitModel,
+    matrix: impl FnOnce() -> Option<Diagnostic>,
+) -> Diagnostics {
     let mut diags = Diagnostics::new();
 
     // SC001: capacitive connectivity. Zero-valued capacitances do not
@@ -31,41 +66,9 @@ pub fn check_circuit(model: &CircuitModel) -> Diagnostics {
         ));
     }
 
-    // SC002 / SC003: only meaningful when the connectivity is sound —
-    // a floating island already implies a singular matrix.
     if floating.is_empty() && model.island_count() > 0 {
-        // Matrix-level findings are anchored to the largest capacitance:
-        // both exact singularity and ill-conditioning come from extreme
-        // capacitance ratios, and the dominant edge is the culprit.
-        let dominant = model
-            .edges
-            .iter()
-            .max_by(|x, y| x.capacitance.total_cmp(&y.capacitance))
-            .map_or(Span::NONE, |e| e.span);
-        let c = model.capacitance_matrix();
-        match c.lu() {
-            Err(_) => diags.push(Diagnostic::new(
-                DiagCode::SingularCapacitanceMatrix,
-                "island capacitance matrix is numerically singular; \
-                 the capacitance ratios exceed what f64 can resolve",
-                dominant,
-            )),
-            Ok(lu) => {
-                let cond = lu
-                    .inverse_norm_one_estimate()
-                    .map_or(f64::INFINITY, |inv| (c.norm_one() * inv).max(1.0));
-                if cond > CONDITION_THRESHOLD {
-                    diags.push(Diagnostic::new(
-                        DiagCode::IllConditionedCMatrix,
-                        format!(
-                            "island capacitance matrix is ill-conditioned \
-                             (κ₁ ≈ {cond:.2e} > {CONDITION_THRESHOLD:.0e}); \
-                             island potentials may lose most significant digits"
-                        ),
-                        dominant,
-                    ));
-                }
-            }
+        if let Some(d) = matrix() {
+            diags.push(d);
         }
     }
 
@@ -91,6 +94,45 @@ pub fn check_circuit(model: &CircuitModel) -> Diagnostics {
 
     diags.sort();
     diags
+}
+
+/// SC002 when the factorization `lu` of `c` failed (`None`), SC003 when
+/// Hager's estimate of `κ₁(c)` from it exceeds [`CONDITION_THRESHOLD`].
+fn matrix_finding(
+    model: &CircuitModel,
+    c: &Matrix,
+    lu: Option<&LuDecomposition>,
+) -> Option<Diagnostic> {
+    // Matrix-level findings are anchored to the largest capacitance:
+    // both exact singularity and ill-conditioning come from extreme
+    // capacitance ratios, and the dominant edge is the culprit.
+    let dominant = model
+        .edges
+        .iter()
+        .max_by(|x, y| x.capacitance.total_cmp(&y.capacitance))
+        .map_or(Span::NONE, |e| e.span);
+    let Some(lu) = lu else {
+        return Some(Diagnostic::new(
+            DiagCode::SingularCapacitanceMatrix,
+            "island capacitance matrix is numerically singular; \
+             the capacitance ratios exceed what f64 can resolve",
+            dominant,
+        ));
+    };
+    let cond = lu
+        .inverse_norm_one_estimate()
+        .map_or(f64::INFINITY, |inv| (c.norm_one() * inv).max(1.0));
+    (cond > CONDITION_THRESHOLD).then(|| {
+        Diagnostic::new(
+            DiagCode::IllConditionedCMatrix,
+            format!(
+                "island capacitance matrix is ill-conditioned \
+                 (κ₁ ≈ {cond:.2e} > {CONDITION_THRESHOLD:.0e}); \
+                 island potentials may lose most significant digits"
+            ),
+            dominant,
+        )
+    })
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ mod json;
 mod logic;
 mod reach;
 
-pub use circuit::{check_circuit, CONDITION_THRESHOLD};
+pub use circuit::{check_circuit, check_circuit_factored, CONDITION_THRESHOLD};
 pub use diag::{DiagCode, Diagnostic, Diagnostics, Severity, Span};
 pub use fixit::{apply_suggestions, Applicability, Edit, Suggestion};
 pub use ir::{

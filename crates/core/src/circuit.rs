@@ -8,6 +8,8 @@
 //! once; the Monte Carlo solvers then only ever read `C⁻¹` (the paper's
 //! Eq. 2) and the island–lead coupling block.
 
+use std::sync::OnceLock;
+
 use semsim_linalg::{Matrix, SparsifiedMatrix};
 
 use crate::constants::E_CHARGE;
@@ -113,6 +115,17 @@ pub struct JunctionSoA {
 impl JunctionSoA {
     /// Sentinel index meaning "terminal is not of this kind".
     pub const NONE: u32 = u32::MAX;
+}
+
+/// Column-contiguous copies of `C⁻¹` and `C⁻¹·C_ext` for the chunked
+/// backend. The per-event testing kernel gathers `C⁻¹[island, f]` for
+/// the two fixed source/destination columns `f` over many islands; in
+/// the row-major `C⁻¹` those reads stride by a full row, in the
+/// transpose the column is one contiguous cache-resident slice.
+#[derive(Debug, Clone)]
+struct TransposedTables {
+    cinv_t: Matrix,
+    lead_response_t: Matrix,
 }
 
 /// Builder for [`Circuit`].
@@ -329,15 +342,11 @@ pub struct Circuit {
     /// Per-lead maximum `|lead_response|` over islands — the scale the
     /// lead sparsification threshold is relative to.
     lead_response_colmax: Vec<f64>,
-    /// Transpose of `C⁻¹` (a bitwise copy of every entry). The
-    /// per-event testing kernel gathers `C⁻¹[island, f]` for the two
-    /// fixed source/destination columns `f` over many islands; in the
-    /// row-major `cinv` those reads stride by a full row, in `cinv_t`
-    /// the column is one contiguous cache-resident slice.
-    cinv_t: Matrix,
-    /// Transpose of `lead_response` — same contiguity argument, for
-    /// input-voltage steps.
-    lead_response_t: Matrix,
+    /// Transposes of `C⁻¹` and `lead_response`, built on first use (see
+    /// [`Circuit::transposed_inverse_capacitance`]). Only the chunked
+    /// backend reads them; [`crate::engine::Simulation::new`] builds
+    /// them when it selects that backend, so the event loop never does.
+    transposed: OnceLock<TransposedTables>,
     /// Flat SoA junction buffers for the compute backends.
     junction_soa: JunctionSoA,
     /// Warning-severity findings from the static checks that ran during
@@ -404,11 +413,11 @@ impl Circuit {
         }
 
         // Static checks on the abstract graph. Hard defects (floating
-        // islands → singular matrix) still surface through the inverse
-        // below as `CoreError::FloatingIsland`; the warnings
-        // (ill-conditioning, tunnel-unreachable islands) are kept on the
-        // circuit for callers to surface.
-        let check_warnings = {
+        // islands → singular matrix) surface as
+        // `CoreError::FloatingIsland` when `C` fails to factor; the
+        // warnings (ill-conditioning, tunnel-unreachable islands) are
+        // kept on the circuit for callers to surface.
+        let model = {
             let mut model = semsim_check::CircuitModel::new();
             let mut model_nodes = Vec::with_capacity(n_nodes);
             for (idx, kind) in b.nodes.iter().enumerate() {
@@ -434,20 +443,26 @@ impl Circuit {
                     c.capacitance,
                 );
             }
-            let mut warnings = semsim_check::Diagnostics::new();
-            for d in semsim_check::check_circuit(&model) {
-                if d.severity == semsim_check::Severity::Warning {
-                    warnings.push(d);
-                }
-            }
-            warnings
+            model
         };
-
-        let cinv = if n_islands > 0 {
-            cmatrix.inverse().map_err(CoreError::FloatingIsland)?
+        // `C` is factored once: the SC003 condition estimate reads the
+        // dense factors (the model's own matrix is assembled in the same
+        // order, so the finding equals `check_circuit`'s), then `C⁻¹`
+        // overwrites them. At most two `islands²` buffers, `cmatrix` and
+        // the factors/inverse, are alive at any point of the build.
+        let (cinv, diags) = if n_islands > 0 {
+            let lu = cmatrix.lu().map_err(CoreError::FloatingIsland)?;
+            let diags = semsim_check::check_circuit_factored(&model, &cmatrix, &lu);
+            (lu.into_inverse(), diags)
         } else {
-            Matrix::zeros(0, 0)
+            (Matrix::zeros(0, 0), semsim_check::check_circuit(&model))
         };
+        let mut check_warnings = semsim_check::Diagnostics::new();
+        for d in diags {
+            if d.severity == semsim_check::Severity::Warning {
+                check_warnings.push(d);
+            }
+        }
         let cinv_sparse = SparsifiedMatrix::new(&cinv, 1e-8);
         let lead_response = if n_islands > 0 {
             cinv.mul(&cext).expect("shape fixed by construction")
@@ -550,13 +565,10 @@ impl Circuit {
             island_dependents: Vec::new(),
             lead_dependents: Vec::new(),
             lead_response_colmax: Vec::new(),
-            cinv_t: Matrix::zeros(0, 0),
-            lead_response_t: Matrix::zeros(0, 0),
+            transposed: OnceLock::new(),
             junction_soa: JunctionSoA::default(),
             check_warnings,
         };
-        circuit.cinv_t = circuit.cinv.transposed();
-        circuit.lead_response_t = circuit.lead_response.transposed();
         circuit.junction_soa = {
             let idx32 = |o: Option<usize>| o.map_or(JunctionSoA::NONE, |i| i as u32);
             let mut soa = JunctionSoA::default();
@@ -734,15 +746,26 @@ impl Circuit {
     }
 
     /// Transpose of `C⁻¹` — bitwise-equal entries, column-contiguous
-    /// layout for the chunked backend's per-event gathers.
+    /// layout for the chunked backend's per-event gathers. Built with
+    /// [`Circuit::transposed_lead_response`] on the first call to
+    /// either (an `islands²` allocation) and shared by every later
+    /// caller, including clones made after that call.
     pub fn transposed_inverse_capacitance(&self) -> &Matrix {
-        &self.cinv_t
+        &self.transposed_tables().cinv_t
     }
 
     /// Transpose of `C⁻¹·C_ext` — bitwise-equal entries, per-lead rows
-    /// contiguous.
+    /// contiguous. Built on first use, like
+    /// [`Circuit::transposed_inverse_capacitance`].
     pub fn transposed_lead_response(&self) -> &Matrix {
-        &self.lead_response_t
+        &self.transposed_tables().lead_response_t
+    }
+
+    fn transposed_tables(&self) -> &TransposedTables {
+        self.transposed.get_or_init(|| TransposedTables {
+            cinv_t: self.cinv.transposed(),
+            lead_response_t: self.lead_response.transposed(),
+        })
     }
 
     /// Flat SoA junction buffers consumed by the compute backends.

@@ -438,6 +438,12 @@ impl<'c> Simulation<'c> {
                 let s = if matches!(config.solver, SolverSpec::AdaptiveDense { .. }) {
                     s.with_dense_reference()
                 } else {
+                    if let BackendSpec::Chunked { .. } = config.backend {
+                        // Build the chunked kernels' transposed tables
+                        // here, once per circuit, not inside the event
+                        // loop.
+                        circuit.transposed_inverse_capacitance();
+                    }
                     s.with_backend(config.backend)
                 };
                 Solver::Adaptive(s)

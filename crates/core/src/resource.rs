@@ -65,7 +65,10 @@ pub struct ResourceEstimate {
     /// Compute-backend SoA buffers: the transposed `C⁻¹` and
     /// lead-response matrices (contiguous per-event gather columns for
     /// the chunked backend) plus the per-junction structure-of-arrays
-    /// (four `u32` index lanes, three `f64` lanes).
+    /// (four `u32` index lanes, three `f64` lanes). A circuit builds the
+    /// transposed matrices only when a simulation selects the chunked
+    /// backend, but they are always counted, so admission stays
+    /// conservative for either backend.
     pub backend_bytes: u64,
     /// Journal append buffer allowance (constant).
     pub journal_buffer_bytes: u64,
@@ -173,8 +176,10 @@ impl ResourceEstimate {
         }
         let neighborhood_bytes = entries * F64 + rows * VEC_HEADER;
         let soa = circuit.junction_soa();
-        let backend_bytes = mat(circuit.transposed_inverse_capacitance())
-            + mat(circuit.transposed_lead_response())
+        // The transposed tables are sized from the dimensions: reading
+        // them through the accessors would build them.
+        let backend_bytes = islands * islands * F64
+            + leads * islands * F64
             + 4 * (soa.a_island.len() as u64)
             + 4 * (soa.b_island.len() as u64)
             + 4 * (soa.a_lead.len() as u64)

@@ -4,7 +4,9 @@
 //! algebra operation: building the island-block capacitance matrix `C` and
 //! inverting it (the paper's `C⁻¹` in Eq. 2). Circuits in the paper's
 //! evaluation reach ~3500 islands, so a dense LU with partial pivoting is
-//! both sufficient and simple to verify. On top of the inverse we provide a
+//! both sufficient and simple to verify. The inverse is formed from the
+//! factors' nonzeros only, bit-identical to dense substitution (see
+//! [`LuDecomposition::into_inverse`]). On top of the inverse we provide a
 //! [`SparsifiedMatrix`] view that drops negligible entries per row — the
 //! adaptive solver uses it to bound the cost of locality queries.
 //!

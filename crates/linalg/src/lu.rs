@@ -31,8 +31,11 @@ pub struct LuDecomposition {
     perm_sign: f64,
 }
 
-/// Pivots smaller than this (relative to the largest element of the
-/// matrix) are treated as exact zeros.
+/// Pivots whose magnitude is below this absolute value are treated as
+/// exact zeros; the threshold is not scaled by the matrix's entries.
+/// Capacitances in farads are ~1e-18, so it only trips when a pivot
+/// collapses to the underflow range, as in the
+/// `sc002_singular_cmatrix.cir` lint fixture (1e-320 F anchors).
 const PIVOT_EPS: f64 = 1e-300;
 
 impl LuDecomposition {
@@ -222,25 +225,63 @@ impl LuDecomposition {
         Ok(est)
     }
 
-    /// Computes the full inverse by solving against each unit vector.
+    /// Consumes the decomposition and returns the full inverse, written
+    /// into the factors' own `n × n` buffer.
     ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`LuDecomposition::solve`]; cannot fail for a
-    /// successfully constructed decomposition.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
+    /// Column `j` of the inverse is the solution of `A·x = e_j`, computed
+    /// with the same row-oriented substitutions as
+    /// [`LuDecomposition::solve`] but over the nonzeros of `L` and `U`
+    /// only, each row's terms in ascending column order. Every term that
+    /// is skipped is a product with an exact-zero factor entry, i.e.
+    /// `±0`, and adding `±0` to a nonzero partial sum leaves it
+    /// unchanged; so a skipping sum can differ only in the sign of a
+    /// zero result. That cannot reach the inverse either: the value a
+    /// sum is subtracted from is never `−0` (the right-hand side holds
+    /// only `+0` and `1`, and a difference that rounds to zero is `+0`),
+    /// and `v − (+0) = v − (−0)` for every such `v`. The inverse is
+    /// therefore bit-identical to solving against each unit vector with
+    /// [`LuDecomposition::solve`], at a cost of `O(n·(nnz(L) + nnz(U)))`
+    /// instead of `O(n³)`. Apart from the returned buffer, only the
+    /// compressed factors, the diagonal of `U` and one `n × 8` work
+    /// array are allocated.
+    pub fn into_inverse(self) -> Matrix {
         let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for col in 0..n {
-            e[col] = 1.0;
-            let x = self.solve(&e)?;
-            e[col] = 0.0;
-            for (row, v) in x.into_iter().enumerate() {
-                inv.set(row, col, v);
+        let lower = TriangularRows::strictly_lower(&self.lu);
+        let upper = TriangularRows::strictly_upper(&self.lu);
+        let diag: Vec<f64> = (0..n).map(|i| self.lu.get(i, i)).collect();
+        let mut inv = self.lu;
+        // Column `perm[i]` is the solve whose permuted unit vector has its
+        // 1 in row `i`. Taking the columns in `perm` order, BLOCK at a
+        // time, lets one pass over the factors serve BLOCK solves (lane
+        // `b` of `x[i·BLOCK + b]` is one column's vector), each keeping
+        // its own sum order; rows above a lane's 1 only see zeros and
+        // stay +0, so starting the block at its first lane's row is exact.
+        let mut x = vec![0.0; n * BLOCK];
+        for (block, cols) in self.perm.chunks(BLOCK).enumerate() {
+            let first = block * BLOCK;
+            x.fill(0.0);
+            for b in 0..cols.len() {
+                x[(first + b) * BLOCK + b] = 1.0;
+            }
+            for i in first + 1..n {
+                let dot = lower.dot_block(i, &x);
+                for (xi, d) in x[i * BLOCK..(i + 1) * BLOCK].iter_mut().zip(dot) {
+                    *xi -= d;
+                }
+            }
+            for i in (0..n).rev() {
+                let dot = upper.dot_block(i, &x);
+                for (xi, d) in x[i * BLOCK..(i + 1) * BLOCK].iter_mut().zip(dot) {
+                    *xi = (*xi - d) / diag[i];
+                }
+            }
+            for (b, &col) in cols.iter().enumerate() {
+                for row in 0..n {
+                    inv.set(row, col, x[row * BLOCK + b]);
+                }
             }
         }
-        Ok(inv)
+        inv
     }
 
     /// Determinant of the factorized matrix.
@@ -250,6 +291,73 @@ impl LuDecomposition {
             det *= self.lu.get(i, i);
         }
         det
+    }
+}
+
+/// Right-hand sides solved together by [`LuDecomposition::into_inverse`].
+const BLOCK: usize = 8;
+
+/// The nonzero entries of one strict triangle of a dense matrix, stored
+/// row by row in ascending column order (compressed sparse rows). Sized
+/// exactly: the entries are counted before the arrays are allocated.
+struct TriangularRows {
+    /// Row `i` occupies `cols[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl TriangularRows {
+    /// The strictly lower triangle of `m` (the unit-diagonal `L` factor).
+    fn strictly_lower(m: &Matrix) -> Self {
+        Self::from_rows(m, |i| 0..i)
+    }
+
+    /// The strictly upper triangle of `m` (`U` without its diagonal).
+    fn strictly_upper(m: &Matrix) -> Self {
+        Self::from_rows(m, |i| i + 1..m.cols())
+    }
+
+    fn from_rows(m: &Matrix, span: impl Fn(usize) -> std::ops::Range<usize>) -> Self {
+        let n = m.rows();
+        assert!(
+            u32::try_from(m.cols()).is_ok(),
+            "column indices are stored as u32"
+        );
+        let nnz = (0..n)
+            .map(|i| m.row(i)[span(i)].iter().filter(|&&v| v != 0.0).count())
+            .sum();
+        let mut start = Vec::with_capacity(n + 1);
+        let mut cols = Vec::with_capacity(nnz);
+        let mut vals = Vec::with_capacity(nnz);
+        start.push(0);
+        for i in 0..n {
+            let range = span(i);
+            let offset = range.start;
+            for (k, &v) in m.row(i)[range].iter().enumerate() {
+                if v != 0.0 {
+                    cols.push((offset + k) as u32);
+                    vals.push(v);
+                }
+            }
+            start.push(cols.len());
+        }
+        TriangularRows { start, cols, vals }
+    }
+
+    /// `Σₖ row_i[k]·x[k·BLOCK + b]` for each lane `b`, over the row's
+    /// nonzeros in ascending `k`: each lane is its own sequential sum.
+    #[inline]
+    fn dot_block(&self, i: usize, x: &[f64]) -> [f64; BLOCK] {
+        let range = self.start[i]..self.start[i + 1];
+        let mut acc = [0.0; BLOCK];
+        for (&k, &v) in self.cols[range.clone()].iter().zip(&self.vals[range]) {
+            let xk = &x[k as usize * BLOCK..(k as usize + 1) * BLOCK];
+            for (a, &xkb) in acc.iter_mut().zip(xk) {
+                *a += v * xkb;
+            }
+        }
+        acc
     }
 }
 

@@ -187,6 +187,14 @@ impl Matrix {
 
     /// Matrix–matrix product `self · other`.
     ///
+    /// Each output entry accumulates `self[i,k]·other[k,j]` in ascending
+    /// `k`, starting from `+0`, and skips every term with a zero factor
+    /// on either side. A skipped term is `±0`, which cannot change a
+    /// partial sum that starts at `+0`, so the result is bit-identical to
+    /// the full triple loop; the cost is proportional to the nonzeros
+    /// (a dense `C⁻¹` times a lead-coupling block with one or two
+    /// entries per row costs `O(n²)`, not `O(n²·leads)`).
+    ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if the inner dimensions differ.
@@ -197,15 +205,23 @@ impl Matrix {
                 right: (other.rows, other.cols),
             });
         }
+        let other_rows: Vec<Vec<(usize, f64)>> = (0..other.rows)
+            .map(|k| {
+                let row = other.row(k).iter().enumerate();
+                row.filter(|&(_, &v)| v != 0.0)
+                    .map(|(j, &v)| (j, v))
+                    .collect()
+            })
+            .collect();
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
+            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
+            for (&a, nonzeros) in self.row(i).iter().zip(&other_rows) {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.get(k, j);
+                for &(j, b) in nonzeros {
+                    out_row[j] += a * b;
                 }
             }
         }
@@ -279,13 +295,15 @@ impl Matrix {
         LuDecomposition::new(self)
     }
 
-    /// Computes the inverse via LU decomposition.
+    /// Computes the inverse via LU decomposition (see
+    /// [`LuDecomposition::into_inverse`]). Besides `self`, at most one
+    /// `n × n` buffer is held: the factors, overwritten by the inverse.
     ///
     /// # Errors
     ///
     /// Same as [`Matrix::lu`].
     pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.lu()?.inverse()
+        Ok(self.lu()?.into_inverse())
     }
 
     /// Solves `self · x = b`.

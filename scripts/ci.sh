@@ -75,6 +75,12 @@ else
   echo "skip: hotpath speedup floor needs >= 2 cores (host has $cores)"
 fi
 
+echo "==> c432 build: C⁻¹ bit-identical to the dense reference (release)"
+# The gate is the test's bit-identity assertion over all 1554² entries.
+# The build seconds it prints are information only: wall-clock on a
+# shared host is not gated.
+cargo test --release -q --test build_inverse -- --ignored --nocapture
+
 echo "==> semsim validate: cross-engine grid + perf trend ratchet (chunked backend)"
 # --backend chunked runs the whole validation grid on the chunked
 # compute backend; backends are bit-identical, so agreement with the

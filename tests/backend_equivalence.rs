@@ -233,3 +233,46 @@ fn parallel_sweeps_bit_identical_across_backends_and_threads() {
         );
     }
 }
+
+#[test]
+fn one_circuit_drives_both_backends_in_any_order_and_on_two_threads() {
+    // The chunked backend's transposed tables are built on the circuit
+    // the first time a chunked simulation starts. Whether that happens
+    // before, after or concurrently with a scalar run on the same
+    // circuit must not change either trajectory.
+    let logic = Benchmark::Decoder2To10.logic();
+    let params = SetLogicParams::default();
+    let fresh = || elaborate(&logic, &params).expect("elaborate");
+    let elab = fresh();
+    let inputs: Vec<usize> = logic
+        .inputs
+        .iter()
+        .map(|name| elab.input_lead(name).expect("input lead"))
+        .collect();
+    let mk = |backend| {
+        SimConfig::new(params.temperature)
+            .with_seed(13)
+            .with_solver(adaptive(0.05))
+            .with_backend(backend)
+    };
+    let run = |elab: &Elaborated, backend| run_logic(elab, &inputs, mk(backend), 2_000);
+
+    let scalar = run(&elab, BackendSpec::Scalar);
+    let chunked = run(&elab, BackendSpec::chunked());
+    assert_records_bit_identical("scalar, then chunked", &scalar, &chunked);
+
+    let elab = fresh();
+    let chunked_first = run(&elab, BackendSpec::chunked());
+    let scalar_second = run(&elab, BackendSpec::Scalar);
+    assert_records_bit_identical("chunked first", &scalar, &chunked_first);
+    assert_records_bit_identical("scalar second", &scalar, &scalar_second);
+
+    let elab = &fresh();
+    let [a, b] = std::thread::scope(|s| {
+        [BackendSpec::chunked(), BackendSpec::Scalar]
+            .map(|backend| s.spawn(move || run(elab, backend)))
+            .map(|h| h.join().expect("thread"))
+    });
+    assert_records_bit_identical("chunked on a second thread", &scalar, &a);
+    assert_records_bit_identical("scalar on a second thread", &scalar, &b);
+}
